@@ -335,8 +335,8 @@ def _compile_in_list(expr, scope):
     ):
         # Semijoin IN lists are numeric literals: O(1) set probe instead of
         # the row engine's linear scan, with the same coercion semantics
-        # (1, 1.0 and Decimal(1) all match).
-        numeric_set = {float(c) for c in candidates}
+        # (1, 1.0 and Decimal(1) all match; ints match exactly).
+        numeric_set = set(candidates)
 
     def run(cols, n, sel, ctx):
         out = []
@@ -347,7 +347,9 @@ def _compile_in_list(expr, scope):
             elif numeric_set is not None and isinstance(
                 value, (int, float, Decimal)
             ):
-                if float(value) in numeric_set:
+                if (
+                    float(value) if type(value) is Decimal else value
+                ) in numeric_set:
                     verdict = True
                 else:
                     verdict = None if saw_null else False
@@ -799,16 +801,14 @@ class VecHashJoin(VecNode):
         single_key = len(build_cols) == 1
         if single_key:
             # Scalar keys: no per-row tuple building.  Ints/floats are
-            # normalised inline (bool/Decimal/rest via _group_key_value,
+            # their own keys inline (bool/Decimal/rest via _group_key_value,
             # keeping the row engine's cross-type equality).
             for position, value in enumerate(build_cols[0]):
                 if value is None:
                     continue  # NULL keys never join
                 kind = type(value)
                 hashed = (
-                    ("n", float(value))
-                    if kind is int or kind is float
-                    else group_key(value)
+                    value if kind is int or kind is float else group_key(value)
                 )
                 bucket = hash_table.get(hashed)
                 if bucket is None:
@@ -832,7 +832,7 @@ class VecHashJoin(VecNode):
         if single_key:
             buckets = [
                 get(
-                    ("n", float(value))
+                    value
                     if type(value) is int or type(value) is float
                     else group_key(value)
                 )
@@ -1107,9 +1107,7 @@ class VecHashAggregate(VecNode):
             for i, value in enumerate(group_cols[0]):
                 kind = type(value)
                 key = (
-                    ("n", float(value))
-                    if kind is int or kind is float
-                    else group_key(value)
+                    value if kind is int or kind is float else group_key(value)
                 )
                 slot = slots.get(key)
                 if slot is None:

@@ -588,12 +588,17 @@ def _hash_key(key: tuple) -> tuple:
 
 
 def _group_key_value(value: object) -> object:
+    """Hash/equality key of one value, agreeing with SQL ``=``.
+
+    Ints and floats are their own keys: Python's ``==`` and ``hash`` are
+    exact across the two, so 1 and 1.0 meet while 2**53 and 2**53 + 1 stay
+    apart.  A Decimal goes through float, as ``=`` compares it.  Booleans
+    are tagged so TRUE never meets 1.
+    """
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, Decimal):
-        return ("n", float(value))
-    if isinstance(value, (int, float)):
-        return ("n", float(value))
+        return float(value)
     return value
 
 

@@ -10,6 +10,12 @@ Translates a parsed query into a tree of physical operators from
   (comma-separated) joins, nested loops as the fallback
 - aggregate rewrite: post-aggregation expressions are rewritten to reference
   the aggregate operator's output columns
+- predicate pushdown into mergeable derived tables (export views): a WHERE
+  conjunct over a plain SELECT's outputs is rewritten onto its select-item
+  expressions, so a keyed lookup through a gateway's export view becomes an
+  index probe.  A pushed conjunct no index absorbs is filtered above the
+  derived table's own WHERE, never beside it, so it only sees rows that
+  WHERE accepted.
 
 Correlated subqueries are supported by planning with a parent
 :class:`~repro.engine.expressions.Scope`; the executor supplies outer rows at
@@ -19,12 +25,14 @@ runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 from repro.errors import CatalogError, ExecutionError
 from repro.engine import operators as ops
 from repro.engine.expressions import OutputColumn, Scope
 from repro.sql import ast
 from repro.storage.catalog import Catalog
+from repro.storage.types import TypeKind
 
 
 class _RecordingScope(Scope):
@@ -97,11 +105,21 @@ class LocalPlanner:
     # SELECT blocks
     # ------------------------------------------------------------------
 
-    def _plan_select(self, select: ast.Select, outer: Scope | None) -> ops.Operator:
+    def _plan_select(
+        self,
+        select: ast.Select,
+        outer: Scope | None,
+        pushed: list[ast.Expression] | None = None,
+    ) -> ops.Operator:
+        """Plan one block; ``pushed`` are conjuncts from an enclosing query
+        (see :meth:`_push_into_derived`), already over this block's FROM."""
         # ------------------------------------------------------ FROM + WHERE
         conjuncts = ast.split_conjuncts(select.where)
+        pushed = list(pushed or ())
         if select.from_clause:
-            input_op, remaining = self._plan_from(select.from_clause, conjuncts, outer)
+            input_op, remaining = self._plan_from(
+                select.from_clause, conjuncts, outer, pushed
+            )
         else:
             # SELECT without FROM: single empty row.
             input_op = ops.ValuesScan([], [()])
@@ -109,6 +127,12 @@ class LocalPlanner:
         input_scope = Scope(input_op.schema, outer)
         if remaining:
             input_op = ops.Filter(input_op, ast.conjoin(remaining), input_scope)
+        if pushed:
+            # Pushed conjuncts no index probe absorbed.  A Filter of their
+            # own, above every filter of this block's WHERE: AND stops on
+            # FALSE but not on NULL, so one combined predicate would run
+            # them on rows the block's WHERE did not accept.
+            input_op = ops.Filter(input_op, ast.conjoin(pushed), input_scope)
 
         # ------------------------------------------------------ projections
         items = self._expand_stars(select.items, input_op.schema)
@@ -189,14 +213,28 @@ class LocalPlanner:
         from_clause: list[ast.TableRef],
         conjuncts: list[ast.Expression],
         outer: Scope | None,
+        pushed: list[ast.Expression],
     ) -> tuple[ops.Operator, list[ast.Expression]]:
         """Plan the FROM clause, consuming pushable conjuncts.
 
+        Index probes may also absorb (remove) entries of ``pushed``.
         Returns (operator, leftover conjuncts to apply above)."""
         available = list(conjuncts)
+        # Every column the FROM clause provides, so a conjunct is pushed
+        # into a derived table only when its names resolve to that table
+        # alone (an unqualified name two items share stays ambiguous).
+        from_scope = None
+        if available and not all(
+            isinstance(ref, ast.TableName) for ref in from_clause
+        ):
+            from_scope = Scope(
+                [c for ref in from_clause for c in self._ref_columns(ref)]
+            )
         relations: list[_Relation] = []
         for ref in from_clause:
-            relation = self._plan_table_ref(ref, available, outer)
+            relation = self._plan_table_ref(
+                ref, available, outer, pushed, from_scope
+            )
             relations.append(relation)
 
         if len(relations) == 1:
@@ -218,64 +256,137 @@ class LocalPlanner:
         ref: ast.TableRef,
         available: list[ast.Expression],
         outer: Scope | None,
+        pushed: list[ast.Expression],
+        from_scope: Scope | None,
     ) -> _Relation:
         if isinstance(ref, ast.TableName):
-            return self._plan_base_table(ref, available, outer)
+            return self._plan_base_table(ref, available, outer, pushed)
         if isinstance(ref, ast.SubqueryRef):
-            child = self.plan_query(ref.query, outer)
+            inner = self._push_into_derived(ref, available, from_scope)
+            if inner:
+                child = self._plan_select(ref.query, outer, inner)
+            else:
+                child = self.plan_query(ref.query, outer)
             op = ops.Rename(child, ref.alias)
             return _Relation(op, frozenset({ref.alias.lower()}))
         if isinstance(ref, ast.Join):
-            return self._plan_explicit_join(ref, available, outer)
+            return self._plan_explicit_join(
+                ref, available, outer, pushed, from_scope
+            )
         raise ExecutionError(f"unsupported FROM item {type(ref).__name__}")
+
+    def _push_into_derived(
+        self,
+        ref: ast.SubqueryRef,
+        available: list[ast.Expression],
+        from_scope: Scope | None,
+    ) -> list[ast.Expression]:
+        """Take from ``available`` the conjuncts ``ref`` can evaluate inside.
+
+        ``ref`` must be mergeable (:func:`_mergeable`), and each taken
+        conjunct names only ``ref``'s outputs: every column resolves both
+        among those outputs and, uniquely, in the whole FROM clause.  The
+        taken conjuncts come back with each output name replaced by its
+        select-item expression.
+        """
+        if not available or not _mergeable(ref.query):
+            return []
+        items = ref.query.items
+        scope = Scope([OutputColumn(i.output_name, ref.alias) for i in items])
+        by_name = {i.output_name.lower(): i.expression for i in items}
+
+        def substitute(node: ast.Expression) -> ast.Expression:
+            if isinstance(node, ast.ColumnRef):
+                return by_name[node.name.lower()]
+            return node
+
+        taken: list[ast.Expression] = []
+        rest: list[ast.Expression] = []
+        for conjunct in available:
+            if _resolves_locally(conjunct, scope) and _resolves_locally(
+                conjunct, from_scope
+            ):
+                taken.append(ast.transform_expression(conjunct, substitute))
+            else:
+                rest.append(conjunct)
+        available[:] = rest
+        return taken
+
+    def _ref_columns(self, ref: ast.TableRef) -> list[OutputColumn]:
+        """The columns a FROM item provides, found without planning it."""
+        if isinstance(ref, ast.TableName):
+            table = self.catalog.get_table(ref.name)
+            return [OutputColumn(c.name, ref.binding) for c in table.schema.columns]
+        if isinstance(ref, ast.Join):
+            return self._ref_columns(ref.left) + self._ref_columns(ref.right)
+        query = ref.query
+        while isinstance(query, ast.SetOperation):
+            query = query.left
+        items = query.items
+        if any(isinstance(item.expression, ast.Star) for item in items):
+            inner = [c for r in query.from_clause for c in self._ref_columns(r)]
+            items = self._expand_stars(items, inner)
+        return [OutputColumn(item.output_name, ref.alias) for item in items]
 
     def _plan_base_table(
         self,
         ref: ast.TableName,
         available: list[ast.Expression],
         outer: Scope | None,
+        pushed: list[ast.Expression],
     ) -> _Relation:
         table = self.catalog.get_table(ref.name)
         binding = ref.binding
-        scope = Scope(
-            [OutputColumn(c.name, binding) for c in table.schema.columns], outer
-        )
+        columns = [OutputColumn(c.name, binding) for c in table.schema.columns]
+        scope = Scope(columns, outer)
         local, leftover = self._split_local(available, scope)
         available[:] = leftover
 
-        scan = self._choose_access_path(table, binding, local)
+        # The block's own conjuncts first.  A pushed conjunct may become
+        # the probe too: an index probe evaluates no expression, so it
+        # cannot run the conjunct on a row the block's WHERE rejects.
+        own = Scope(columns)
+        candidates = local + [c for c in pushed if _resolves_locally(c, own)]
+        scan, position = self._choose_access_path(table, binding, candidates)
+        if position is not None:
+            if position < len(local):
+                local.pop(position)
+            else:
+                pushed.remove(candidates[position])
         op: ops.Operator = scan
         if local:
             op = ops.Filter(op, ast.conjoin(local), scope)
         return _Relation(op, frozenset({binding.lower()}))
 
     def _choose_access_path(
-        self, table, binding: str, local: list[ast.Expression]
-    ) -> ops.Operator:
+        self, table, binding: str, candidates: list[ast.Expression]
+    ) -> tuple[ops.Operator, int | None]:
         """Pick IndexScan when a constant predicate matches an index.
 
-        Consumes the predicate it absorbs from ``local``.
+        Returns the scan and the position in ``candidates`` of the
+        conjunct the index absorbs (None for a SeqScan).
         """
-        for position, conjunct in enumerate(local):
+        for position, conjunct in enumerate(candidates):
             match = _constant_comparison(conjunct)
             if match is None:
                 continue
             column, op_name, value = match
             if not table.schema.has_column(column):
                 continue
+            kind = table.schema.column(column).datatype.kind
+            if type(value) not in _PROBE_TYPES.get(kind, ()):
+                continue
             index = table.find_index([column])
             if index is None:
                 continue
             if op_name == "=":
-                local.pop(position)
                 return ops.IndexScan(
                     table, index.name, binding, equal_key=(value,)
-                )
+                ), position
             from repro.storage.index import OrderedIndex
 
             if not isinstance(index, OrderedIndex):
                 continue
-            local.pop(position)
             if op_name in ("<", "<="):
                 return ops.IndexScan(
                     table,
@@ -283,37 +394,40 @@ class LocalPlanner:
                     binding,
                     high=(value,),
                     high_inclusive=(op_name == "<="),
-                )
+                ), position
             return ops.IndexScan(
                 table,
                 index.name,
                 binding,
                 low=(value,),
                 low_inclusive=(op_name == ">="),
-            )
-        return ops.SeqScan(table, binding)
+            ), position
+        return ops.SeqScan(table, binding), None
 
     def _plan_explicit_join(
         self,
         ref: ast.Join,
         available: list[ast.Expression],
         outer: Scope | None,
+        pushed: list[ast.Expression],
+        from_scope: Scope | None,
     ) -> _Relation:
-        # WHERE conjuncts may only be pushed below the *preserved* side of
-        # an outer join; pushing below the null-supplying side would remove
-        # rows before padding happens and change the result.
-        no_push: list[ast.Expression] = []
-        left_available = available
-        right_available = available
-        if ref.join_type is ast.JoinType.LEFT:
-            right_available = no_push
-        elif ref.join_type is ast.JoinType.RIGHT:
-            left_available = no_push
-        elif ref.join_type is ast.JoinType.FULL:
-            left_available = no_push
-            right_available = no_push
-        left = self._plan_table_ref(ref.left, left_available, outer)
-        right = self._plan_table_ref(ref.right, right_available, outer)
+        # WHERE conjuncts (and conjuncts pushed in from an enclosing query)
+        # may only be pushed below the *preserved* side of an outer join;
+        # pushing below the null-supplying side would remove rows before
+        # padding happens and change the result.
+        left_in, left_pushed = available, pushed
+        right_in, right_pushed = available, pushed
+        if ref.join_type in (ast.JoinType.RIGHT, ast.JoinType.FULL):
+            left_in, left_pushed = [], []
+        if ref.join_type in (ast.JoinType.LEFT, ast.JoinType.FULL):
+            right_in, right_pushed = [], []
+        left = self._plan_table_ref(
+            ref.left, left_in, outer, left_pushed, from_scope
+        )
+        right = self._plan_table_ref(
+            ref.right, right_in, outer, right_pushed, from_scope
+        )
         bindings = left.bindings | right.bindings
 
         condition = ref.condition
@@ -663,10 +777,56 @@ def _estimate_rows(op: ops.Operator) -> float:
     return 1000.0
 
 
+_SUBQUERIES = (ast.InSubquery, ast.Exists, ast.ScalarSubquery)
+
+#: Literal types an index probe compares with a column's stored values
+#: exactly as SQL ``=`` and ``<`` do.  Any other literal (``k = '7'`` on an
+#: INTEGER key, a date string on a DATE key) is left to a Filter, whose
+#: comparison coerces.
+_PROBE_TYPES = {
+    TypeKind.INTEGER: (int, float),
+    TypeKind.FLOAT: (int, float),
+    TypeKind.DECIMAL: (int, Decimal),
+    TypeKind.VARCHAR: (str,),
+    TypeKind.BOOLEAN: (bool,),
+}
+
+
+def _mergeable(query: ast.Query) -> bool:
+    """True for a derived table a WHERE conjunct may be pushed into.
+
+    A plain SELECT: no GROUP BY, HAVING, aggregate, DISTINCT, ORDER BY,
+    LIMIT or OFFSET, and a select list without ``*``, subqueries or
+    duplicate output names.
+    """
+    if not isinstance(query, ast.Select) or (
+        query.group_by
+        or query.having is not None
+        or query.distinct
+        or query.order_by
+        or query.limit is not None
+        or query.offset is not None
+    ):
+        return False
+    names = set()
+    for item in query.items:
+        if isinstance(item.expression, ast.Star) or ast.contains_aggregate(
+            item.expression
+        ):
+            return False
+        if any(
+            isinstance(node, _SUBQUERIES)
+            for node in ast.walk_expressions(item.expression)
+        ):
+            return False
+        names.add(item.output_name.lower())
+    return len(names) == len(query.items)
+
+
 def _resolves_locally(expr: ast.Expression, scope: Scope) -> bool:
     """True if every column ref resolves at depth 0 and no subquery appears."""
     for node in ast.walk_expressions(expr):
-        if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+        if isinstance(node, _SUBQUERIES):
             return False
         if isinstance(node, ast.ColumnRef):
             resolved = scope.try_resolve(node.table, node.name)
