@@ -13,14 +13,14 @@ the key also carries the ``runtime_stats_version`` of the federation's
 superseded learned cardinalities expire the same way — and stop expiring
 once the learned estimates converge.
 
-Plans are mutated during execution (fragment registration annotates
-them), so the cache stores and returns deep copies — the cached master is
-never shared with an executing query.
+Cached plans are shared, not copied: a hit returns the very object every
+other query with the same key executes, possibly on another thread.  A plan
+is therefore never edited once the optimizer returns it.  Adaptive
+re-planning, the one step that changes a plan after optimization, edits a
+private copy inside :meth:`~repro.query.executor.GlobalExecutor.execute`.
 """
 
 from __future__ import annotations
-
-import copy
 
 from repro.cache.lru import LRUCache
 from repro.query.localizer import GlobalPlan
@@ -33,13 +33,10 @@ class PlanCache:
         self._lru = LRUCache(capacity)
 
     def get(self, key: tuple) -> GlobalPlan | None:
-        plan = self._lru.get(key)
-        if plan is None:
-            return None
-        return copy.deepcopy(plan)
+        return self._lru.get(key)
 
     def put(self, key: tuple, plan: GlobalPlan) -> None:
-        self._lru.put(key, copy.deepcopy(plan))
+        self._lru.put(key, plan)
 
     def clear(self) -> int:
         return self._lru.clear()

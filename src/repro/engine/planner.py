@@ -220,21 +220,22 @@ class LocalPlanner:
         Index probes may also absorb (remove) entries of ``pushed``.
         Returns (operator, leftover conjuncts to apply above)."""
         available = list(conjuncts)
-        # Every column the FROM clause provides, so a conjunct is pushed
-        # into a derived table only when its names resolve to that table
-        # alone (an unqualified name two items share stays ambiguous).
-        from_scope = None
-        if available and not all(
-            isinstance(ref, ast.TableName) for ref in from_clause
+        unresolved: list[ast.Expression] = []
+        if available and (
+            len(from_clause) > 1 or isinstance(from_clause[0], ast.Join)
         ):
+            # Only a conjunct whose names resolve against the whole FROM
+            # clause may be pushed into one of its items.  The rest (an
+            # unqualified name two items share, an outer reference, a
+            # subquery) wait for the filter above the FROM, which reports
+            # an ambiguous name.
             from_scope = Scope(
                 [c for ref in from_clause for c in self._ref_columns(ref)]
             )
+            available, unresolved = self._split_local(available, from_scope)
         relations: list[_Relation] = []
         for ref in from_clause:
-            relation = self._plan_table_ref(
-                ref, available, outer, pushed, from_scope
-            )
+            relation = self._plan_table_ref(ref, available, outer, pushed)
             relations.append(relation)
 
         if len(relations) == 1:
@@ -249,7 +250,7 @@ class LocalPlanner:
         op = combined.op
         if local:
             op = ops.Filter(op, ast.conjoin(local), Scope(op.schema, outer))
-        return op, leftover
+        return op, unresolved + leftover
 
     def _plan_table_ref(
         self,
@@ -257,12 +258,11 @@ class LocalPlanner:
         available: list[ast.Expression],
         outer: Scope | None,
         pushed: list[ast.Expression],
-        from_scope: Scope | None,
     ) -> _Relation:
         if isinstance(ref, ast.TableName):
             return self._plan_base_table(ref, available, outer, pushed)
         if isinstance(ref, ast.SubqueryRef):
-            inner = self._push_into_derived(ref, available, from_scope)
+            inner = self._push_into_derived(ref, available)
             if inner:
                 child = self._plan_select(ref.query, outer, inner)
             else:
@@ -270,24 +270,19 @@ class LocalPlanner:
             op = ops.Rename(child, ref.alias)
             return _Relation(op, frozenset({ref.alias.lower()}))
         if isinstance(ref, ast.Join):
-            return self._plan_explicit_join(
-                ref, available, outer, pushed, from_scope
-            )
+            return self._plan_explicit_join(ref, available, outer, pushed)
         raise ExecutionError(f"unsupported FROM item {type(ref).__name__}")
 
     def _push_into_derived(
         self,
         ref: ast.SubqueryRef,
         available: list[ast.Expression],
-        from_scope: Scope | None,
     ) -> list[ast.Expression]:
         """Take from ``available`` the conjuncts ``ref`` can evaluate inside.
 
         ``ref`` must be mergeable (:func:`_mergeable`), and each taken
-        conjunct names only ``ref``'s outputs: every column resolves both
-        among those outputs and, uniquely, in the whole FROM clause.  The
-        taken conjuncts come back with each output name replaced by its
-        select-item expression.
+        conjunct names only ``ref``'s outputs.  The taken conjuncts come
+        back with each output name replaced by its select-item expression.
         """
         if not available or not _mergeable(ref.query):
             return []
@@ -303,9 +298,7 @@ class LocalPlanner:
         taken: list[ast.Expression] = []
         rest: list[ast.Expression] = []
         for conjunct in available:
-            if _resolves_locally(conjunct, scope) and _resolves_locally(
-                conjunct, from_scope
-            ):
+            if _resolves_locally(conjunct, scope):
                 taken.append(ast.transform_expression(conjunct, substitute))
             else:
                 rest.append(conjunct)
@@ -410,7 +403,6 @@ class LocalPlanner:
         available: list[ast.Expression],
         outer: Scope | None,
         pushed: list[ast.Expression],
-        from_scope: Scope | None,
     ) -> _Relation:
         # WHERE conjuncts (and conjuncts pushed in from an enclosing query)
         # may only be pushed below the *preserved* side of an outer join;
@@ -422,12 +414,8 @@ class LocalPlanner:
             left_in, left_pushed = [], []
         if ref.join_type in (ast.JoinType.LEFT, ast.JoinType.FULL):
             right_in, right_pushed = [], []
-        left = self._plan_table_ref(
-            ref.left, left_in, outer, left_pushed, from_scope
-        )
-        right = self._plan_table_ref(
-            ref.right, right_in, outer, right_pushed, from_scope
-        )
+        left = self._plan_table_ref(ref.left, left_in, outer, left_pushed)
+        right = self._plan_table_ref(ref.right, right_in, outer, right_pushed)
         bindings = left.bindings | right.bindings
 
         condition = ref.condition

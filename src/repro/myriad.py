@@ -38,20 +38,15 @@ class MyriadSystem:
         default_optimizer: str = "cost",
         observability: bool = True,
         parallel_fetches: int = 4,
-        plan_cache_size: int = 64,
-        fragment_cache: bool | int = True,
+        fragment_cache: bool = True,
         mvcc_reads: bool = True,
         adaptive_feedback: bool = False,
         adaptive_replan: bool = False,
-        replan_threshold: float = 3.0,
         slow_query_threshold_s: float | None = 1.0,
         trace_sample_rate: float = 1.0,
         replication_factor: int = 1,
         follower_reads: bool = False,
-        replication_staleness: int = 0,
         replication_seed: int = 0,
-        retry_jitter: bool = False,
-        jitter_seed: int = 0,
         vectorized: bool = False,
         wire_compression: bool = False,
     ):
@@ -84,11 +79,10 @@ class MyriadSystem:
         self.federations: dict[str, Federation] = {}
         self.default_optimizer = default_optimizer
         #: Performance knobs, applied to every federation's processor:
-        #: fetch thread-pool width (1 = sequential), compiled-plan LRU size
-        #: (0 = off), and the fragment cache (False = off, or an int
-        #: capacity).  See README "Performance: parallel fetches & caching".
+        #: fetch thread-pool width (1 = sequential) and the fragment cache
+        #: (False = off).  The compiled-plan cache is always on.  See
+        #: README "Performance: parallel fetches & caching".
         self.parallel_fetches = parallel_fetches
-        self.plan_cache_size = plan_cache_size
         self.fragment_cache = fragment_cache
         #: Adaptive optimization knobs (experiment E17).  Both default
         #: OFF: with them off, planning and simulated accounting are
@@ -97,10 +91,10 @@ class MyriadSystem:
         #: shape) cardinalities from EXPLAIN ANALYZE actuals and blends
         #: them into cost estimates; ``adaptive_replan`` re-optimizes the
         #: remaining stages mid-query when a fetch's actuals diverge from
-        #: estimates by ``replan_threshold``x or a site's breaker opens.
+        #: estimates by 3x (``query.executor.REPLAN_THRESHOLD``) or a
+        #: site's breaker opens.
         self.adaptive_feedback = adaptive_feedback
         self.adaptive_replan = adaptive_replan
-        self.replan_threshold = replan_threshold
         #: Default for components built via add_oracle/add_postgres: MVCC
         #: snapshot reads (autocommit SELECTs take no table locks).  See
         #: README "Serving & MVCC".
@@ -121,29 +115,18 @@ class MyriadSystem:
         #: accounting are bit-identical to the unreplicated system.  With
         #: N > 1, every component built via add_oracle/add_postgres
         #: becomes a Raft-style group of N replicas; ``follower_reads``
-        #: lets autocommit SELECTs be served by followers within
-        #: ``replication_staleness`` log entries of the leader's commit
-        #: index.  See README "Replication & failover".
+        #: lets autocommit SELECTs be served by followers that have
+        #: applied the leader's whole commit index.  See README
+        #: "Replication & failover".
         self.replication_factor = replication_factor
         self.follower_reads = follower_reads
-        self.replication_staleness = replication_staleness
         self.replication_seed = replication_seed
         #: Per-site replica groups (only for sites built with
         #: ``replication_factor > 1``): site → ReplicaGroup.
         self.replica_groups: dict[str, object] = {}
-        #: Seeded deterministic jitter on retry backoff (fetches and 2PC
-        #: branch retries), so post-failover retry storms desynchronise.
-        #: Off by default: with the knob off the RNG is never drawn and
-        #: accounting stays bit-identical.
-        self.retry_jitter = retry_jitter
-        self.jitter_seed = jitter_seed
         self._server = None
         self.transactions = GlobalTransactionManager(
-            self.gateways,
-            query_timeout=query_timeout,
-            obs=self.obs,
-            retry_jitter=retry_jitter,
-            jitter_seed=jitter_seed,
+            self.gateways, query_timeout=query_timeout, obs=self.obs
         )
         self._processors: dict[str, GlobalQueryProcessor] = {}
         self._deadlock_monitor = None
@@ -368,11 +351,7 @@ class MyriadSystem:
             seed=self.replication_seed,
             obs=self.obs,
         )
-        gateway = ReplicatedGateway(
-            group,
-            follower_reads=self.follower_reads,
-            staleness_bound=self.replication_staleness,
-        )
+        gateway = ReplicatedGateway(group, follower_reads=self.follower_reads)
         self.components[site] = dbmses[0]
         self.gateways[site] = gateway
         self.replica_groups[site] = group
@@ -452,13 +431,9 @@ class MyriadSystem:
                 self.network,
                 default_optimizer=self.default_optimizer,
                 parallel_fetches=self.parallel_fetches,
-                plan_cache_size=self.plan_cache_size,
                 fragment_cache=self.fragment_cache,
                 adaptive_feedback=self.adaptive_feedback,
                 adaptive_replan=self.adaptive_replan,
-                replan_threshold=self.replan_threshold,
-                retry_jitter=self.retry_jitter,
-                jitter_seed=self.jitter_seed,
                 vectorized=self.vectorized,
                 wire_compression=self.wire_compression,
             )

@@ -51,8 +51,6 @@ class Observability:
         max_events: int = 4096,
         slow_query_threshold_s: float | None = 1.0,
         trace_sample_rate: float = 1.0,
-        window_bucket_s: float = 0.5,
-        window_buckets: int = 120,
     ):
         self.enabled = enabled
         self.tracer = Tracer(
@@ -66,12 +64,9 @@ class Observability:
         #: ``query.slow`` event (with a plan digest); ``None`` disables.
         self.slow_query_threshold_s = slow_query_threshold_s
         #: Rolling QPS / error-rate / latency percentiles over recent
-        #: simulated time; clock bound by the owning system.
-        self.window = WindowedMetrics(
-            enabled=enabled,
-            bucket_s=window_bucket_s,
-            bucket_count=window_buckets,
-        )
+        #: simulated time (120 buckets of 0.5 s); clock bound by the
+        #: owning system.
+        self.window = WindowedMetrics(enabled=enabled)
         #: Registered :class:`~repro.obs.slo.SLO` objects by name, fed by
         #: :meth:`record_request` and evaluated on every request.
         self.slos: dict[str, SLO] = {}

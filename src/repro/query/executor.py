@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cache import FragmentCache
 from repro.engine import LocalEngine, ResultSet
@@ -28,13 +28,19 @@ from repro.errors import (
     MessageDropped,
 )
 from repro.gateway import LOCAL_ROW_COST_S, Gateway
-from repro.net import MessageTrace, RetryJitter
+from repro.net import MessageTrace
 from repro.obs import DISABLED, FetchActual, Observability, obs_of
 from repro.query.localizer import Fetch, GlobalPlan
 from repro.schema.federation import Federation
 from repro.sql import ast, to_sql
 from repro.storage import Catalog, Column, TableSchema
 from repro.storage.types import FLOAT, INTEGER, DataType, TypeKind
+
+#: Mid-query re-planning trigger: a completed fetch whose actual row count
+#: diverges from its estimate by at least this factor (either direction)
+#: re-optimizes the remaining stages, when a replanner was passed to
+#: :meth:`GlobalExecutor.execute`.
+REPLAN_THRESHOLD = 3.0
 
 
 def _canonical_type(datatype: DataType) -> DataType:
@@ -112,6 +118,20 @@ class GlobalResult:
         return render_explain_analyze(self)
 
 
+def _replannable_copy(plan: GlobalPlan) -> GlobalPlan:
+    """A copy of ``plan`` that re-planning may edit without touching it.
+
+    ``CostBasedOptimizer.replan`` only reassigns fields of fetches and
+    appends to the notes, so the plan, its fetch list, each fetch and the
+    notes are copied; ASTs, columns and join edges stay shared.
+    """
+    return replace(
+        plan,
+        fetches=[replace(fetch) for fetch in plan.fetches],
+        notes=list(plan.notes),
+    )
+
+
 @dataclass
 class _Stage:
     fetches: list[Fetch] = field(default_factory=list)
@@ -145,8 +165,6 @@ class GlobalExecutor:
         obs: Observability | None = None,
         parallel_fetches: int = 4,
         fragment_cache: FragmentCache | None = None,
-        retry_jitter: bool = False,
-        jitter_seed: int = 0,
         vectorized: bool = False,
         wire_compression: bool = False,
     ):
@@ -161,18 +179,8 @@ class GlobalExecutor:
         #: up to this many times, with exponential simulated backoff.
         self.fetch_retry_limit = 2
         self.fetch_retry_backoff_s = 0.01
-        #: Seeded deterministic jitter on that backoff: each retry's wait
-        #: is scaled by a uniform factor in [0.5, 1.5) so concurrent
-        #: retries (post-failover storms) desynchronise.  Off by default —
-        #: the RNG is never drawn, accounting stays bit-identical.
-        self.retry_jitter = RetryJitter(jitter_seed) if retry_jitter else None
         #: Max fetch worker threads per stage; <= 1 disables threading.
         self.parallel_fetches = parallel_fetches
-        #: Mid-query re-planning trigger: a completed fetch whose actual
-        #: row count diverges from its estimate by at least this factor
-        #: (either direction) re-optimizes the remaining stages — when a
-        #: replanner was passed to :meth:`execute`.
-        self.replan_threshold = 3.0
         #: Optional federation-site fragment cache (shared across queries;
         #: bypassed inside global transactions).
         self.fragment_cache = fragment_cache
@@ -232,12 +240,18 @@ class GlobalExecutor:
         ``replanner`` (an optimizer with a ``replan`` method) switches on
         **adaptive mid-query re-planning**: after each stage, if a
         completed fetch's actual rows diverged from its estimate beyond
-        ``replan_threshold`` — or a remaining site's circuit breaker
+        :data:`REPLAN_THRESHOLD` — or a remaining site's circuit breaker
         opened — the not-yet-executed fetches are re-optimized with the
         measured actuals pinned.  Stages are scheduled dynamically, so a
         revised dependency graph takes effect immediately.  Without a
         replanner the schedule is identical to the non-adaptive executor.
+
+        ``plan`` may be shared (the plan cache hands one object to every
+        query), so it is never edited: re-planning works on a private copy,
+        which ``GlobalResult.plan`` returns.
         """
+        if replanner is not None:
+            plan = _replannable_copy(plan)
         trace = trace or MessageTrace()
         obs = self.obs
         health = self._health()
@@ -403,8 +417,6 @@ class GlobalExecutor:
             if attempt:
                 self.obs.metrics.inc("query.fetch_retries", site=fetch.site)
                 backoff = self.fetch_retry_backoff_s * 2 ** (attempt - 1)
-                if self.retry_jitter is not None:
-                    backoff = self.retry_jitter.scale(backoff)
                 trace.add_compute(backoff)
                 network.advance(backoff)
             try:
@@ -492,7 +504,7 @@ class GlobalExecutor:
         """Re-optimize remaining stages if this stage's actuals diverged.
 
         Triggers when a just-completed fetch's measured row count is off
-        from its estimate by ``replan_threshold``× in either direction, or
+        from its estimate by :data:`REPLAN_THRESHOLD`× in either direction, or
         when a remaining site's circuit breaker has opened (pure state
         check — probe admission stays with the fetch path).  Delegates the
         actual plan surgery to ``replanner.replan`` with completed fetches
@@ -507,7 +519,7 @@ class GlobalExecutor:
                 (actual.rows + 1.0) / (fetch.est_rows + 1.0),
                 (fetch.est_rows + 1.0) / (actual.rows + 1.0),
             )
-            if ratio >= self.replan_threshold:
+            if ratio >= REPLAN_THRESHOLD:
                 trigger = (
                     f"divergence: fetch #{fetch.index} estimated "
                     f"{fetch.est_rows:.0f} rows, measured {actual.rows} "

@@ -43,13 +43,9 @@ class GlobalQueryProcessor:
         network: Network,
         default_optimizer: str = "cost",
         parallel_fetches: int = 4,
-        plan_cache_size: int = 64,
-        fragment_cache: bool | int = True,
+        fragment_cache: bool = True,
         adaptive_feedback: bool = False,
         adaptive_replan: bool = False,
-        replan_threshold: float = 3.0,
-        retry_jitter: bool = False,
-        jitter_seed: int = 0,
         vectorized: bool = False,
         wire_compression: bool = False,
     ):
@@ -90,27 +86,16 @@ class GlobalQueryProcessor:
         if default_optimizer not in self.optimizers:
             raise FederationError(f"unknown optimizer {default_optimizer!r}")
         self.default_optimizer = default_optimizer
-        #: Compiled-plan LRU; 0 disables it.
-        self.plan_cache = (
-            PlanCache(plan_cache_size) if plan_cache_size > 0 else None
-        )
-        frag_cache = None
-        if fragment_cache:
-            frag_cache = FragmentCache(
-                fragment_cache if isinstance(fragment_cache, int)
-                and not isinstance(fragment_cache, bool)
-                else 128
-            )
+        #: Compiled-plan LRU.  A hit returns the shared plan object: the
+        #: executor replans a private copy, never the cached plan.
+        self.plan_cache = PlanCache()
         self.executor = GlobalExecutor(
             federation,
             parallel_fetches=parallel_fetches,
-            fragment_cache=frag_cache,
-            retry_jitter=retry_jitter,
-            jitter_seed=jitter_seed,
+            fragment_cache=FragmentCache() if fragment_cache else None,
             vectorized=vectorized,
             wire_compression=wire_compression,
         )
-        self.executor.replan_threshold = replan_threshold
 
     @property
     def fragment_cache(self) -> FragmentCache | None:
@@ -171,7 +156,7 @@ class GlobalQueryProcessor:
         optimizer_key = optimizer or self.default_optimizer
         chosen = self.optimizers[optimizer_key]
         cache_key = None
-        if self.plan_cache is not None and isinstance(sql, str):
+        if isinstance(sql, str):
             # Key on the registry name, not ``chosen.name``: the cost
             # optimizer's feature-flag variants all report name "cost" but
             # compile different plans.
@@ -251,6 +236,9 @@ class GlobalQueryProcessor:
                     False, failed_sim, federation=self.federation.name
                 )
                 raise
+            # The executed plan: with re-planning on it is the executor's
+            # private copy, carrying the edits the cached plan never sees.
+            plan = result.plan
             sim_elapsed = result.trace.elapsed_s - sim_before
             span.set_sim(sim_elapsed)
             span.tag(strategy=plan.strategy, rows=len(result.rows))

@@ -128,16 +128,12 @@ class ReplicaGroup:
         network: Network,
         seed: int = 0,
         obs=None,
-        election_timeout_s: tuple[float, float] = ELECTION_TIMEOUT_S,
-        heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
     ):
         if not gateways:
             raise NetworkError(f"replica group {site!r} needs >= 1 replica")
         self.site = site
         self.network = network
         self.obs = obs or DISABLED
-        self.election_timeout_s = election_timeout_s
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.replicas = [
             Replica(i, gw.site, gw) for i, gw in enumerate(gateways)
         ]
@@ -258,7 +254,7 @@ class ReplicaGroup:
             if (
                 len(self.replicas) == 1
                 or self.network.now_s - self._last_heartbeat_s
-                < self.heartbeat_interval_s
+                < HEARTBEAT_INTERVAL_S
             ):
                 return
             self._last_heartbeat_s = self.network.now_s
@@ -491,7 +487,7 @@ class ReplicaGroup:
                 self._chaos("mid_election")
                 draws = sorted(
                     (
-                        self._rng.uniform(*self.election_timeout_s),
+                        self._rng.uniform(*ELECTION_TIMEOUT_S),
                         replica.index,
                         replica,
                     )

@@ -19,10 +19,9 @@ Gateway` surface for one logical site while fanning the work over a
   it — so "the group acknowledged it" always implies "a leader crash
   cannot lose it"
 - autocommit snapshot SELECTs may be served by followers
-  (``follower_reads=True``) under a bounded-staleness guard: a follower
-  answers only while ``leader commit index − follower applied index``
-  is within ``staleness_bound`` entries (surfaced as the
-  ``raft.staleness`` gauge); others fall back to the leader
+  (``follower_reads=True``) that are caught up: a follower answers only
+  when it has applied the leader's whole commit index (its lag is
+  surfaced as the ``raft.staleness`` gauge); otherwise the leader does
 
 With ``replication_factor=1`` :class:`~repro.myriad.MyriadSystem` never
 constructs any of this — single-replica sites keep today's plain
@@ -154,12 +153,11 @@ class ReplicaRouter:
             return result
         raise last_error
 
-    def pick_follower(self, staleness_bound: int):
+    def pick_follower(self):
         """A follower eligible to serve a read, or ``None``.
 
-        Round-robin over followers whose applied index is within
-        ``staleness_bound`` entries of the leader's commit index and
-        whose breaker is not open.
+        Round-robin over followers that have applied the leader's whole
+        commit index and whose breaker is not open.
         """
         group = self.group
         leader = group.leader
@@ -168,8 +166,7 @@ class ReplicaRouter:
             replica
             for replica in group.replicas
             if replica is not leader
-            and leader.commit_index - replica.applied_index
-            <= staleness_bound
+            and replica.applied_index >= leader.commit_index
             and (health is None or not health.is_blocked(replica.site))
         ]
         if not candidates:
@@ -188,20 +185,13 @@ class ReplicatedGateway:
     monitor, and introspection talk to it unchanged.
     """
 
-    def __init__(
-        self,
-        group: ReplicaGroup,
-        follower_reads: bool = False,
-        staleness_bound: int = 0,
-    ):
+    def __init__(self, group: ReplicaGroup, follower_reads: bool = False):
         self.group = group
         self.site = group.site
         self.network = group.network
         self.router = ReplicaRouter(group)
-        #: Serve autocommit snapshot SELECTs from followers when within
-        #: ``staleness_bound`` entries of the leader's commit index.
+        #: Serve autocommit snapshot SELECTs from caught-up followers.
         self.follower_reads = follower_reads
-        self.staleness_bound = staleness_bound
         # The logical site participates in accounting-level lookups
         # (set_link, health snapshots) even though traffic flows to the
         # replica sites.
@@ -316,7 +306,7 @@ class ReplicatedGateway:
             and self.follower_reads
             and len(group.replicas) > 1
         ):
-            follower = self.router.pick_follower(self.staleness_bound)
+            follower = self.router.pick_follower()
             if follower is not None:
                 try:
                     result = follower.gateway.execute_query(

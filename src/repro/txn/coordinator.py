@@ -31,9 +31,14 @@ from repro.errors import (
     TwoPhaseCommitError,
 )
 from repro.gateway import Gateway
-from repro.net import MessageTrace, RetryJitter
+from repro.net import MessageTrace
 from repro.obs import DISABLED, Observability
 from repro.sql import ast
+
+#: Phase-2 decision delivery: retries per participant beyond the first
+#: attempt, with exponential virtual backoff between attempts.
+DECISION_RETRY_LIMIT = 3
+DECISION_RETRY_BACKOFF_S = 0.05
 
 
 class GlobalTxnState(enum.Enum):
@@ -89,29 +94,17 @@ class GlobalTransactionManager:
         gateways: dict[str, Gateway],
         query_timeout: float | None = 5.0,
         wal: WriteAheadLog | None = None,
-        decision_retry_limit: int = 3,
-        decision_retry_backoff_s: float = 0.05,
         obs: Observability | None = None,
-        retry_jitter: bool = False,
-        jitter_seed: int = 0,
     ):
         self.gateways = gateways
         self.obs = obs or DISABLED
         #: The paper's timeout period attached to every local query.
         self.query_timeout = query_timeout
         self.wal = wal or WriteAheadLog()
-        #: Phase-2 decision delivery: retries per participant beyond the
-        #: first attempt, with exponential virtual backoff between attempts.
-        self.decision_retry_limit = decision_retry_limit
-        self.decision_retry_backoff_s = decision_retry_backoff_s
         #: Branch-open retries in :meth:`run_global_query` (transient
         #: message loss only), with the same exponential backoff shape.
         self.branch_retry_limit = 2
         self.branch_retry_backoff_s = 0.02
-        #: Seeded deterministic jitter on branch-retry backoff (see
-        #: :class:`repro.net.RetryJitter`); off by default — no RNG draws,
-        #: bit-identical accounting.
-        self.retry_jitter = RetryJitter(jitter_seed) if retry_jitter else None
         #: Chaos hook: called with a crash-point label at every enumerated
         #: 2PC/WAL protocol step (``before_coord_commit``,
         #: ``before_deliver:<site>``, ...).  The chaos explorer raises
@@ -258,8 +251,6 @@ class GlobalTransactionManager:
             if attempt:
                 self.obs.metrics.inc("txn.branch_retries")
                 backoff = self.branch_retry_backoff_s * 2 ** (attempt - 1)
-                if self.retry_jitter is not None:
-                    backoff = self.retry_jitter.scale(backoff)
                 txn.trace.add_compute(backoff)
                 if network is not None:
                     network.advance(backoff)
@@ -560,7 +551,7 @@ class GlobalTransactionManager:
         """Push one COMMIT/ABORT decision to every listed participant.
 
         Per participant: retry dropped messages up to
-        ``decision_retry_limit`` times with exponential virtual backoff
+        :data:`DECISION_RETRY_LIMIT` times with exponential virtual backoff
         (charged to the trace); a participant that stays unreachable is
         *parked* on the durable pending-delivery list, which
         :meth:`recover_in_doubt` drains later.  A failure at one site never
@@ -579,7 +570,7 @@ class GlobalTransactionManager:
                 "txn.deliver", txn=global_id, site=site, decision=decision
             ) as span:
                 attempts = 0
-                for attempt in range(self.decision_retry_limit + 1):
+                for attempt in range(DECISION_RETRY_LIMIT + 1):
                     if attempt and health is not None and not health.allow(site):
                         # The site's breaker tripped: stop burning retries
                         # on a dead site — park the decision for recovery
@@ -589,9 +580,7 @@ class GlobalTransactionManager:
                     if attempt:
                         self.decision_retries += 1
                         self.obs.metrics.inc("txn.decision_retries")
-                        backoff = self.decision_retry_backoff_s * 2 ** (
-                            attempt - 1
-                        )
+                        backoff = DECISION_RETRY_BACKOFF_S * 2 ** (attempt - 1)
                         if trace is not None:
                             trace.add_compute(backoff)
                         if network is not None:

@@ -8,13 +8,16 @@ The invalidation contract under test:
 - degraded (``allow_partial``) fragments are never cached
 - reads inside a global transaction bypass the fragment cache entirely
 - redefining an integrated relation or an export flushes compiled plans
+- a plan-cache hit returns the shared plan, which execution never edits
 """
 
 import pytest
 
 from repro.cache import FragmentCache, LRUCache, PlanCache, fragment_digest
 from repro.myriad import MyriadSystem
+from repro.query.feedback import fetch_shape
 from repro.workloads import build_bank_sites
+from tests.test_adaptive import JOIN, build_skewed_join
 
 
 @pytest.fixture
@@ -151,13 +154,6 @@ class TestPlanCache:
         assert plan_a is not plan_b
         assert bank.metrics.counter_total("plancache.miss") == 2
 
-    def test_cached_plan_is_a_copy(self, bank):
-        processor = bank.processor("bank")
-        first = processor.plan(BALANCES)
-        second = processor.plan(BALANCES)
-        assert first is not second
-        assert first.describe() == second.describe()
-
     def test_schema_redefinition_flushes(self, bank):
         bank.query("bank", BALANCES)
         fed = bank.federation("bank")
@@ -213,21 +209,111 @@ class TestPlanCache:
             assert system.metrics.counter_total("plancache.hit") == 1
 
     def test_disabled_by_knob(self):
-        with build_bank_sites(2, 2) as system:
-            pass  # default system: cache on
-        system = MyriadSystem(plan_cache_size=0, fragment_cache=False)
+        system = MyriadSystem(fragment_cache=False)
         gateway = system.add_postgres("s")
         gateway.dbms.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         gateway.export_table("t", "t")
         fed = system.create_federation("f")
         fed.define_relation("rel", "SELECT id FROM s.t")
         with system:
-            processor = system.processor("f")
-            assert processor.plan_cache is None
-            assert processor.fragment_cache is None
+            assert system.processor("f").fragment_cache is None
             system.query("f", "SELECT id FROM rel")
-            assert system.metrics.counter_total("plancache.miss") == 0
             assert system.metrics.counter_total("fragcache.miss") == 0
+
+
+#: SQL shapes whose plans must survive repeated execution unchanged:
+#: shape -> (builder, federation, SQL, marker in the plan's EXPLAIN).
+SHARED_PLAN_SHAPES = {
+    "semijoin-join": (
+        lambda: build_skewed_join(initial_left=3, final_left=3),
+        "fed",
+        JOIN,
+        "SEMIJOIN",
+    ),
+    "oracle-whole-block-limit": (
+        lambda: build_bank_sites(3, 4, query_timeout=1.0),
+        "bank",
+        "SELECT acct FROM b1.account ORDER BY acct DESC LIMIT 2",
+        "SHIPPED BLOCK SELECT acct AS acct FROM account",
+    ),
+    "aggregate-pushdown": (
+        lambda: build_bank_sites(3, 4, query_timeout=1.0),
+        "bank",
+        "SELECT COUNT(*), SUM(balance) FROM accounts",
+        "SHIPPED BLOCK SELECT COUNT(*)",
+    ),
+    "in-subquery-residual": (
+        lambda: build_bank_sites(3, 4, query_timeout=1.0),
+        "bank",
+        "SELECT acct FROM b0.account WHERE acct + 4 IN "
+        "(SELECT acct FROM b1.account WHERE balance > 0) ORDER BY acct",
+        "IN (SELECT acct FROM",
+    ),
+}
+
+
+class TestSharedPlans:
+    """A hit returns the cached plan itself; execution never edits it."""
+
+    def test_hit_returns_the_cached_object(self, bank):
+        processor = bank.processor("bank")
+        first = processor.plan(BALANCES)
+        assert processor.plan(BALANCES) is first
+        assert bank.query("bank", BALANCES).plan is first
+
+    def test_replan_edits_a_private_copy(self):
+        with build_skewed_join(adaptive_replan=True) as system:
+            cached = system.processor("fed").plan(JOIN)
+            planned = cached.describe()
+            result = system.query("fed", JOIN)  # a hit on ``cached``
+            assert system.processor("fed").plan(JOIN) is cached
+        assert result.plan is not cached
+        assert any(note.startswith("replan@stage") for note in result.plan.notes)
+        assert cached.describe() == planned
+        assert not any(fetch.replanned for fetch in cached.fetches)
+
+    def test_replanned_tag_on_miss_and_hit(self):
+        # Tail sampling keeps re-planned traces; the tag must come from the
+        # executed plan, not from the cached one.
+        with build_skewed_join(adaptive_replan=True) as system:
+            system.query("fed", JOIN)
+            system.query("fed", JOIN)
+            assert system.metrics.counter_total("plancache.miss") == 1
+            assert system.metrics.counter_total("plancache.hit") == 1
+            roots = system.tracer.find("query.execute")
+        assert [root.tags.get("sample_keep") for root in roots] == [
+            "replanned",
+            "replanned",
+        ]
+
+    def test_feedback_records_the_executed_fetch_shapes(self):
+        with build_skewed_join(
+            adaptive_replan=True, adaptive_feedback=True
+        ) as system:
+            processor = system.processor("fed")
+            cached = processor.plan(JOIN)
+            result = system.query("fed", JOIN)
+            store = processor.runtime_stats
+        planned = next(f for f in cached.fetches if f.export == "right_rel")
+        executed = next(
+            f for f in result.plan.fetches if f.export == "right_rel"
+        )
+        assert planned.semijoin is not None
+        assert executed.replanned and executed.semijoin is None
+        assert store.lookup("s2", "right_rel", fetch_shape(executed))
+        assert store.lookup("s2", "right_rel", fetch_shape(planned)) is None
+
+    @pytest.mark.parametrize("shape", sorted(SHARED_PLAN_SHAPES))
+    def test_repeated_hits_agree(self, shape):
+        build, federation, sql, marker = SHARED_PLAN_SHAPES[shape]
+        with build() as system:
+            runs = [system.query(federation, sql) for _ in range(4)]
+            assert system.metrics.counter_total("plancache.hit") == 3
+            explain = system.explain(federation, sql)
+        assert marker in explain
+        for run in runs:
+            assert run.rows == runs[0].rows
+            assert run.plan.describe() == explain
 
 
 class TestCachePrimitives:

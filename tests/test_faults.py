@@ -10,6 +10,7 @@ from repro.errors import (
 )
 from repro.net import FaultInjector, Network
 from repro.txn import GlobalTxnState
+from repro.txn.coordinator import DECISION_RETRY_BACKOFF_S
 from repro.workloads import build_bank_sites, total_balance
 
 
@@ -191,8 +192,7 @@ class TestDecisionRetry:
         before = txn.trace.elapsed_s
         bank.network.faults.drop_next(2, destination="b1", purpose="commit")
         txn.commit()
-        gtm = bank.transactions
-        backoff = gtm.decision_retry_backoff_s * (1 + 2)  # 2 retries: 1x + 2x
+        backoff = DECISION_RETRY_BACKOFF_S * (1 + 2)  # 2 retries: 1x + 2x
         assert txn.trace.elapsed_s - before >= backoff
 
     def test_dropped_commit_ack_is_idempotent(self, bank):

@@ -119,11 +119,17 @@ def test_non_exported_column_is_not_pushed_onto_the_base_table(engine):
 
 
 def test_unqualified_column_shared_by_two_derived_tables_is_ambiguous(engine):
-    sql = (
-        f"SELECT e.k FROM {EXPORT}, (SELECT u.k AS k FROM u) f WHERE k = 1"
-    )
-    with pytest.raises(CatalogError, match="ambiguous"):
-        engine.execute(sql)
+    # Base tables too: no FROM item may take a conjunct whose name another
+    # item also provides.
+    for sql in (
+        f"SELECT e.k FROM {EXPORT}, (SELECT u.k AS k FROM u) f WHERE k = 1",
+        "SELECT v FROM t, (SELECT u.k AS k FROM u) f WHERE k = 1",
+        "SELECT v FROM t, u WHERE k + 0 = 1",
+        "SELECT v FROM t, u WHERE k = 1 OR w = 99",
+        "SELECT v FROM t JOIN u ON t.k = u.k WHERE k = 1",
+    ):
+        with pytest.raises(CatalogError, match="ambiguous"):
+            engine.execute(sql)
 
 
 def test_pushdown_reaches_the_probed_side_of_a_join_inside_the_view(engine):

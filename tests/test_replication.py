@@ -356,8 +356,8 @@ class TestFollowerReads:
     def test_reads_alternate_over_eligible_followers(self):
         system = build_replicated(3, follower_reads=True)
         gateway = system.gateways["b0"]
-        first = gateway.router.pick_follower(0)
-        second = gateway.router.pick_follower(0)
+        first = gateway.router.pick_follower()
+        second = gateway.router.pick_follower()
         assert {first.site, second.site} == {"b0#1", "b0#2"}
         system.close()
 
@@ -373,27 +373,22 @@ class TestFollowerReads:
         assert laggard.lag() == 0  # its own view is consistent...
         assert group.leader.commit_index - laggard.applied_index == 1
         for _ in range(4):
-            assert router.pick_follower(0).site == "b0#1"
-        # a relaxed bound re-admits it; so does convergence
-        assert {
-            router.pick_follower(1).site for _ in range(4)
-        } == {"b0#1", "b0#2"}
+            assert router.pick_follower().site == "b0#1"
+        # convergence re-admits it
         group.catch_up()
         assert {
-            router.pick_follower(0).site for _ in range(4)
+            router.pick_follower().site for _ in range(4)
         } == {"b0#1", "b0#2"}
         system.close()
 
     def test_reads_fall_back_to_the_leader_when_all_followers_lag(self):
-        system = build_replicated(
-            3, follower_reads=True, replication_staleness=0
-        )
+        system = build_replicated(3, follower_reads=True)
         group = system.replica_groups["b0"]
         router = system.gateways["b0"].router
         for replica in group.replicas:
             if replica is not group.leader:
                 replica.applied_index = -1  # force both out of bound
-        assert router.pick_follower(0) is None
+        assert router.pick_follower() is None
         result = system.query("bank", "SELECT SUM(balance) FROM accounts")
         assert float(result.scalar()) == 3 * ACCOUNTS * 1000.0
         assert group.follower_reads == 0
